@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # Runs the full correctness matrix locally:
 #
-#   1. analyzers          every conformance analyzer (tasq_lint, tasq_arch,
-#                         tasq_num, tasq_hot, tasq_sync, tasq_own,
-#                         tasq_vec): repo run, self-test, and an
-#                         empty-baseline gate each. tasq_vec first builds
-#                         the compiler's vectorization report (see below).
+#   1. analyzers          every module of the conformance engine
+#                         (scripts/tasq_analyze: lint, arch, num, hot,
+#                         sync, own, vec): self-test, repo run, and an
+#                         empty-baseline gate each. vec first builds the
+#                         compiler's vectorization report (see below).
 #                         CI's static-analysis job invokes this leg
 #                         verbatim, so the local and CI analyzer matrices
-#                         cannot drift. (`lint` is a deprecated alias.)
+#                         cannot drift.
 #   2. Release            build + full ctest
 #   3. ASan + UBSan       build + full ctest
 #   4. TSan               build + the concurrency-sensitive tests
@@ -66,38 +66,29 @@ require_empty_baseline() {
   echo "   ${path}: empty (gate holds)"
 }
 
-# One analyzer: repo run + self-test + (when baselined) empty-baseline
-# gate. This is THE analyzer matrix — CI's static-analysis job calls
-# `scripts/check.sh analyzers` verbatim rather than restating it.
-run_analyzer() {
-  local script="$1" what="$2" baseline="${3:-}"
-  echo "== analyzers: ${script} (${what}) =="
-  python3 "scripts/${script}"
-  echo "== analyzers: ${script} self-test =="
-  python3 "scripts/${script}" --self-test
-  if [[ -n "${baseline}" ]]; then
-    require_empty_baseline "scripts/${baseline}"
-  fi
-}
+# The modules that judge source text; vec judges compiler output.
+SOURCE_MODULES=(lint arch num hot sync own)
 
+# THE analyzer matrix — CI's static-analysis job calls
+# `scripts/check.sh analyzers` verbatim rather than restating it. One
+# call proves the lexer and every rule of every module against their
+# fixtures; one call runs the six source modules over the tree, which is
+# read and lexed once for all of them; every baseline must stay empty.
 analyzers_leg() {
-  run_analyzer tasq_lint.py "style & API conformance" lint_baseline.txt
-  run_analyzer tasq_arch.py "layering, include hygiene, nodiscard" \
-               arch_baseline.txt
-  run_analyzer tasq_num.py "numerics & determinism conformance" \
-               num_baseline.txt
-  run_analyzer tasq_hot.py "hot-path performance conformance" \
-               hot_baseline.txt
-  run_analyzer tasq_sync.py "atomics & lock-free conformance" \
-               sync_baseline.txt
-  run_analyzer tasq_own.py "ownership & allocation discipline" \
-               own_baseline.txt
+  echo "== analyzers: self-tests (lexer, ${SOURCE_MODULES[*]}, vec) =="
+  python3 scripts/tasq_analyze --self-test "${SOURCE_MODULES[@]}" vec
+  echo "== analyzers: ${SOURCE_MODULES[*]} =="
+  python3 scripts/tasq_analyze "${SOURCE_MODULES[@]}"
+  local module
+  for module in "${SOURCE_MODULES[@]}"; do
+    require_empty_baseline "scripts/${module}_baseline.txt"
+  done
   vec_analyzer
 }
 
-# tasq_vec.py is the one analyzer that audits compiler output rather
-# than source text, so it first builds src/ with -DTASQ_VEC_REPORT=ON
-# (Release flags — the vectorizer must see what the shipped code sees).
+# The vec module audits compiler output rather than source text, so it
+# first builds src/ with -DTASQ_VEC_REPORT=ON (Release flags — the
+# vectorizer must see what the shipped code sees).
 # GCC *appends* to vec_report.txt: only TUs actually compiled contribute
 # lines, so the report is deleted up front AND the build runs
 # --clean-first — an incremental rebuild would produce a report missing
@@ -105,16 +96,14 @@ analyzers_leg() {
 # while keeping the old report would let stale lines vouch for loops
 # that no longer vectorize.
 vec_analyzer() {
-  echo "== analyzers: tasq_vec.py report build (build-check-vec) =="
+  echo "== analyzers: vec report build (build-check-vec) =="
   cmake -B build-check-vec -S . -DCMAKE_BUILD_TYPE=Release \
         -DTASQ_VEC_REPORT=ON >/dev/null
   rm -f build-check-vec/vec_report.txt
   cmake --build build-check-vec --target tasq_vec_report -j "${JOBS}" \
         --clean-first >/dev/null
-  echo "== analyzers: tasq_vec.py (vectorization conformance) =="
-  python3 scripts/tasq_vec.py --report build-check-vec/vec_report.txt
-  echo "== analyzers: tasq_vec.py self-test =="
-  python3 scripts/tasq_vec.py --self-test
+  echo "== analyzers: vec (vectorization conformance) =="
+  python3 scripts/tasq_analyze vec --report build-check-vec/vec_report.txt
   require_empty_baseline scripts/vec_baseline.txt
 }
 
@@ -123,7 +112,7 @@ if [[ ${#LEGS[@]} -eq 0 ]]; then LEGS=(analyzers release asan tsan fpe); fi
 
 for leg in "${LEGS[@]}"; do
   case "${leg}" in
-    analyzers|lint) analyzers_leg ;;
+    analyzers) analyzers_leg ;;
     release) run_leg "release" build-check-release "" "" ;;
     asan) run_leg "asan+ubsan" build-check-asan "address;undefined" "" ;;
     # TSan's scheduler interleaving makes the full suite slow; the

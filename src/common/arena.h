@@ -20,7 +20,7 @@ namespace tasq {
 /// with the serving layer's BatchScratch arena-backed it pays a single
 /// block refill in steady state, pinned by tests/hot_path_test.cc).
 ///
-/// Lifetime model — enforced statically by scripts/tasq_own.py:
+/// Lifetime model — enforced statically by scripts/tasq_analyze/own.py:
 ///
 ///   - Every pointer handed out by Alloc/New/NewObject/NewArray is valid
 ///     until the *owning arena's* next Reset() (or destruction). Storing
@@ -232,7 +232,7 @@ using ArenaString =
 /// Per-request scratch arena: an Arena plus the convention that Reset()
 /// runs at a request/batch boundary. The serving drain loop holds one
 /// per worker activation; feature extraction and batch assembly allocate
-/// from it and nothing outlives the batch (tasq_own.py's arena-escape
+/// from it and nothing outlives the batch (tasq_analyze/own.py's arena-escape
 /// rule keeps that true).
 class ScratchArena {
  public:

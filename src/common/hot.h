@@ -2,7 +2,7 @@
 #define TASQ_COMMON_HOT_H_
 
 /// Hot-path performance annotation — the marker behind the
-/// scripts/tasq_hot.py conformance analyzer (see DESIGN.md, "Hot-path
+/// scripts/tasq_analyze/hot.py conformance analyzer (see DESIGN.md, "Hot-path
 /// conformance").
 ///
 /// `TASQ_HOT` goes immediately before the return type of a function
@@ -12,7 +12,7 @@
 ///   TASQ_HOT uint64_t Fingerprint() const;
 ///
 /// The annotation is a *contract*, enforced transitively over the static
-/// call graph by scripts/tasq_hot.py: the function, and every src/
+/// call graph by scripts/tasq_analyze/hot.py: the function, and every src/
 /// function reachable from it, must be
 ///
 ///   - allocation-free: no new/malloc/make_unique, no container growth
@@ -37,7 +37,7 @@
 /// measure exactly zero heap allocations per request.
 #define TASQ_HOT
 
-/// Vectorization annotation — the marker behind the scripts/tasq_vec.py
+/// Vectorization annotation — the marker behind the scripts/tasq_analyze/vec.py
 /// conformance analyzer (see DESIGN.md, "Vectorization policy").
 ///
 /// `TASQ_VEC` goes on its own line (or the same line) immediately before
@@ -50,7 +50,7 @@
 /// against the source text: a dedicated build (cmake -DTASQ_VEC_REPORT=ON)
 /// compiles src/ with the compiler's vectorizer report enabled
 /// (-fopt-info-vec-all on GCC, -fsave-optimization-record on Clang) and
-/// scripts/tasq_vec.py maps the report back to every annotated loop. An
+/// scripts/tasq_analyze/vec.py maps the report back to every annotated loop. An
 /// annotated loop the compiler reports as "not vectorized" fails the
 /// analyzer with the compiler's own reason (aliasing, non-contiguous
 /// access, function call in loop, ...); an annotation that binds to no

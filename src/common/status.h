@@ -7,9 +7,10 @@
 
 /// Marks a function whose return value carries an error signal the caller
 /// must consume. Every function returning Status or Result<T> by value is
-/// annotated (enforced by scripts/tasq_arch.py, rule nodiscard-missing),
-/// so silently dropping an error is a compiler warning — and an error in
-/// CI, which builds with -Werror. To ignore a result deliberately, write
+/// annotated (enforced by scripts/tasq_analyze/arch.py, rule
+/// nodiscard-missing), so silently dropping an error is a compiler
+/// warning — and an error in CI, which builds with -Werror. To ignore a
+/// result deliberately, write
 ///
 ///   (void)DoThing();  // reason the error is safe to ignore
 ///

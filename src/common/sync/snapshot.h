@@ -154,8 +154,43 @@ class Snapshot {
   /// still pinning the replaced version unpins. Never call from code
   /// holding a View (self-deadlock).
   void Publish(std::shared_ptr<const T> next) TASQ_EXCLUDES(writer_mutex_) {
-    TASQ_CHECK(next != nullptr);
     MutexLock lock(writer_mutex_);
+    PublishLocked(std::move(next));
+  }
+
+  /// Copy-update-swap convenience: copies the current version, lets
+  /// `mutate` edit the copy, publishes the result. The writer lock is
+  /// held across the whole read-copy-mutate-publish sequence, so racing
+  /// Updates serialize and none overwrites another's edit. Readers see
+  /// either the old or the new version, never a torn one. `mutate` runs
+  /// under the writer lock: it must not call back into this Snapshot's
+  /// writers.
+  template <typename Fn>
+  void Update(Fn&& mutate) TASQ_EXCLUDES(writer_mutex_) {
+    MutexLock lock(writer_mutex_);
+    // Relaxed: active_ and the active slot's value are only written
+    // under writer_mutex_, which this thread holds.
+    const T& current = *slots_[active_.load(std::memory_order_relaxed)].value;
+    auto next = std::make_shared<T>(current);
+    mutate(*next);
+    PublishLocked(std::shared_ptr<const T>(std::move(next)));
+  }
+
+ private:
+  struct Slot {
+    /// Written only by the writer while the slot is retired and drained;
+    /// read by readers only while pinned. The pin/flip protocol above is
+    /// what makes those phases non-overlapping.
+    std::shared_ptr<const T> value;
+    /// Number of Views currently pinning this slot.
+    mutable std::atomic<uint64_t> readers{0};
+  };
+
+  /// Installs `next` (non-null), flips the active slot, and reclaims
+  /// the replaced version once its readers drain.
+  void PublishLocked(std::shared_ptr<const T> next)
+      TASQ_REQUIRES(writer_mutex_) {
+    TASQ_CHECK(next != nullptr);
     // Relaxed: active_ is only written under writer_mutex_, so the
     // writer's own last store is already visible to it.
     uint32_t old = active_.load(std::memory_order_relaxed);
@@ -172,28 +207,6 @@ class Snapshot {
     WaitForDrain(slots_[old].readers);
     slots_[old].value.reset();
   }
-
-  /// Copy-update-swap convenience: copies the current version, lets
-  /// `mutate` edit the copy, publishes the result. Writer-serialized by
-  /// Publish; readers see either the old or the new version, never a
-  /// torn one.
-  template <typename Fn>
-  void Update(Fn&& mutate) {
-    std::shared_ptr<const T> current = ReadOwned();
-    auto next = std::make_shared<T>(*current);
-    mutate(*next);
-    Publish(std::shared_ptr<const T>(std::move(next)));
-  }
-
- private:
-  struct Slot {
-    /// Written only by the writer while the slot is retired and drained;
-    /// read by readers only while pinned. The pin/flip protocol above is
-    /// what makes those phases non-overlapping.
-    std::shared_ptr<const T> value;
-    /// Number of Views currently pinning this slot.
-    mutable std::atomic<uint64_t> readers{0};
-  };
 
   static void WaitForDrain(const std::atomic<uint64_t>& readers) {
     // sync: seqcst drain scan is the writer's side of the SB entry pair
@@ -213,9 +226,10 @@ class Snapshot {
   /// Index of the active slot; flipped by Publish, pinned by Read.
   std::atomic<uint32_t> active_{0};
   /// Guarded by writer_mutex_: the flip protocol and both slots' value
-  /// fields on the writer side — Publish is the only mutator, so one
-  /// writer at a time copies, installs, flips, drains, reclaims. Readers
-  /// synchronize through active_/readers, never through this mutex.
+  /// fields on the writer side — PublishLocked is the only mutator, and
+  /// Publish and Update hold the lock around it, so one writer at a time
+  /// copies, installs, flips, drains, reclaims. Readers synchronize
+  /// through active_/readers, never through this mutex.
   Mutex writer_mutex_;
 };
 

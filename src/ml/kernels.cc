@@ -4,10 +4,10 @@
 
 namespace tasq {
 
-// Every TASQ_VEC loop below is verified vectorized by scripts/tasq_vec.py
-// against the compiler's own report (cmake -DTASQ_VEC_REPORT=ON). Keep
-// the bodies call-free and unit-stride; the annotation is a contract, not
-// a hint.
+// Every TASQ_VEC loop below is verified vectorized by
+// scripts/tasq_analyze/vec.py against the compiler's own report (cmake
+// -DTASQ_VEC_REPORT=ON). Keep the bodies call-free and unit-stride; the
+// annotation is a contract, not a hint.
 
 void VecAddInPlace(double* __restrict a, const double* __restrict b,
                    size_t n) {

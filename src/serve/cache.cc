@@ -66,49 +66,44 @@ bool ReportCache::GetInto(const ReportCacheKey& key, WhatIfReport* out) {
 
 void ReportCache::Put(const ReportCacheKey& key, WhatIfReport report) {
   if (capacity_ == 0) return;
-  // Copy-update-swap, serialized across writers so no Put can overwrite
-  // another's insert: copy the current table (per-entry shared_ptr copy,
-  // not report bytes), mutate the copy, publish. Readers keep serving
-  // the previous version lock-free until the publish lands.
-  MutexLock lock(put_mutex_);
-  auto next = std::make_shared<Table>(*table_.ReadOwned());
-
-  if (auto it = next->find(key); it != next->end()) {
-    // Refresh: entries are immutable after publication, so replace the
-    // entry rather than mutating the report other readers may be copying.
+  // Copy-update-swap under the table's writer lock, so no Put can
+  // overwrite another's insert: Update copies the current table
+  // (per-entry shared_ptr copy, not report bytes), runs this edit on the
+  // copy, and publishes it. Readers keep serving the previous version
+  // lock-free until the publish lands.
+  table_.Update([&](Table& table) {
     auto entry = std::make_shared<CacheEntry>();
     entry->report = std::move(report);
     entry->last_used.store(NextTick(), std::memory_order_relaxed);
-    it->second = std::move(entry);
-    table_.Publish(std::move(next));
-    return;
-  }
-
-  if (next->size() >= capacity_) {
-    // Evict the minimum-tick entry — exactly the back of the old
-    // std::list LRU under sequential use, approximate under racing hits.
-    auto victim = next->begin();
-    uint64_t victim_tick =
-        victim->second->last_used.load(std::memory_order_relaxed);
-    for (auto it = std::next(next->begin()); it != next->end(); ++it) {
-      uint64_t tick = it->second->last_used.load(std::memory_order_relaxed);
-      if (tick < victim_tick) {
-        victim = it;
-        victim_tick = tick;
-      }
+    if (auto it = table.find(key); it != table.end()) {
+      // Refresh: entries are immutable after publication, so replace the
+      // entry rather than mutating the report other readers may be
+      // copying.
+      it->second = std::move(entry);
+      return;
     }
-    next->erase(victim);
+    if (table.size() >= capacity_) {
+      // Evict the minimum-tick entry — exactly the back of the old
+      // std::list LRU under sequential use, approximate under racing
+      // hits.
+      auto victim = table.begin();
+      uint64_t victim_tick =
+          victim->second->last_used.load(std::memory_order_relaxed);
+      for (auto it = std::next(table.begin()); it != table.end(); ++it) {
+        uint64_t tick = it->second->last_used.load(std::memory_order_relaxed);
+        if (tick < victim_tick) {
+          victim = it;
+          victim_tick = tick;
+        }
+      }
+      table.erase(victim);
+      // Relaxed: independent event counter (see header).
+      evictions_.fetch_add(1, std::memory_order_relaxed);
+    }
+    table[key] = std::move(entry);
     // Relaxed: independent event counter (see header).
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  auto entry = std::make_shared<CacheEntry>();
-  entry->report = std::move(report);
-  entry->last_used.store(NextTick(), std::memory_order_relaxed);
-  (*next)[key] = std::move(entry);
-  // Relaxed: independent event counter (see header).
-  insertions_.fetch_add(1, std::memory_order_relaxed);
-  table_.Publish(std::move(next));
+    insertions_.fetch_add(1, std::memory_order_relaxed);
+  });
 }
 
 ReportCacheCounters ReportCache::counters() const {

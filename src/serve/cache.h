@@ -8,7 +8,6 @@
 #include <unordered_map>
 
 #include "common/hot.h"
-#include "common/mutex.h"
 #include "common/sync/snapshot.h"
 #include "tasq/what_if.h"
 
@@ -65,7 +64,8 @@ struct ReportCacheCounters {
 /// snapshot behind Snapshot<Table>, so the read path — GetInto, the
 /// serving fast path — takes **zero locks**: one lock-free snapshot pin,
 /// a hash lookup, and relaxed-atomic counter bumps. Writers (Put) do
-/// copy-update-swap of the whole table under a writer mutex; recency is
+/// copy-update-swap of the whole table through Snapshot::Update, which
+/// holds the snapshot's one writer lock from copy to publish; recency is
 /// a shared monotonic tick written into each entry's relaxed atomic
 /// `last_used` on every hit, and eviction scans for the minimum tick.
 /// Under sequential use the tick order is exactly the classic list-LRU
@@ -125,10 +125,6 @@ class ReportCache {
   }
 
   const size_t capacity_;  // Immutable after construction.
-  /// Guarded by put_mutex_: the read-copy-update sequence in Put (read
-  /// current table, copy, mutate, publish). Readers never take it —
-  /// they go through table_'s lock-free pin protocol.
-  mutable Mutex put_mutex_;
   Snapshot<Table> table_;
   /// Monotonic recency clock; advanced (relaxed) by hits and inserts.
   mutable std::atomic<uint64_t> tick_{0};

@@ -250,7 +250,7 @@ void PccServer::ProcessBatch(BatchScratch& scratch) {
   auto inference_start = std::chrono::steady_clock::now();
 
   // Everything assembled for this batch lives in the scratch arena and
-  // dies here: pointers below must not outlive this call (tasq_own.py's
+  // dies here: pointers below must not outlive this call (tasq_analyze/own.py's
   // arena-escape rule). Reset keeps the arena's blocks, so the assembly
   // is heap-allocation-free once the blocks have grown to the realized
   // batch size.
