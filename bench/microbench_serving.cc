@@ -9,12 +9,19 @@
 // and measured allocations/request (the binary links the counting
 // operator new from tests/alloc_counter.h).
 //
+// Three sections time the fingerprint + cache path in isolation:
+// JobGraph::Fingerprint ns/job over a 2000-graph pool, ReportCache::Put
+// µs and allocations per evicting insert at capacities 64 to 64K, and
+// warm TryScoreCached hits/s at 1/2/4 client threads over that pool.
+//
 // Results are hardware-dependent: thread scaling tracks the number of
 // physical cores ctest/bench can actually use.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #include "alloc_counter.h"
@@ -67,6 +74,104 @@ void PrintRow(unsigned threads, const StreamRun& run, double baseline_rps) {
   std::printf("  %u thread%s: %8.0f req/s  (%.2fx)   cache hits %.0f%%\n",
               threads, threads == 1 ? " " : "s", rps, rps / baseline_rps,
               100.0 * hit_ratio);
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+// Fingerprint cost per job over a pool too large for L1/L2 to hold, the
+// shape of the recurring workload's ~2K distinct graphs. Median of 5
+// passes.
+double FingerprintNsPerJob(const std::vector<ScoreRequest>& pool) {
+  uint64_t sink = 0;
+  std::vector<double> passes;
+  for (int pass = 0; pass < 5; ++pass) {
+    const int kRounds = 10;
+    auto start = std::chrono::steady_clock::now();
+    for (int round = 0; round < kRounds; ++round) {
+      for (const ScoreRequest& request : pool) {
+        sink += request.graph.Fingerprint();
+      }
+    }
+    passes.push_back(SecondsSince(start) * 1e9 /
+                     static_cast<double>(kRounds * pool.size()));
+  }
+  if (sink == 42) std::printf("(unlikely sink)\n");  // Keeps the loop live.
+  return Median(passes);
+}
+
+struct PutCost {
+  double us_per_insert = 0.0;
+  double allocations_per_insert = 0.0;
+};
+
+// Steady-state cost of an insert into a full cache: every timed Put adds a
+// new key and evicts one. The report is built outside the meter, so the
+// allocations are the cache's own.
+PutCost MeasurePut(size_t capacity, const WhatIfReport& report) {
+  ReportCache cache(capacity);
+  auto key = [](uint64_t i) {
+    return ReportCacheKey{i + 1, ModelKind::kNn, 10.0, 9};
+  };
+  for (uint64_t i = 0; i < capacity; ++i) cache.Put(key(i), report);
+  // At least two passes over every shard's nodes, so each timed insert
+  // recycles a node whose report buffer is already warm.
+  const uint64_t inserts = std::max<uint64_t>(4096, 2 * capacity);
+  uint64_t allocations_before = tasq_test::AllocationCount();
+  auto start = std::chrono::steady_clock::now();
+  for (uint64_t i = 0; i < inserts; ++i) {
+    cache.Put(key(capacity + i), report);
+  }
+  double seconds = SecondsSince(start);
+  uint64_t allocations = tasq_test::AllocationCount() - allocations_before;
+  PutCost cost;
+  cost.us_per_insert = seconds * 1e6 / static_cast<double>(inserts);
+  cost.allocations_per_insert =
+      static_cast<double>(allocations) / static_cast<double>(inserts);
+  return cost;
+}
+
+// Aggregate warm-hit rate of `threads` clients calling TryScoreCached on a
+// primed server, each walking the pool from its own offset with its own
+// reused report buffer. Median of 3 runs.
+double WarmHitsPerSecond(PccServer& server,
+                         const std::vector<ScoreRequest>& pool,
+                         unsigned threads) {
+  const size_t kPerThread = 200000;
+  std::vector<double> runs;
+  for (int run = 0; run < 3; ++run) {
+    std::vector<std::thread> clients;
+    std::vector<size_t> misses(threads, 0);
+    auto start = std::chrono::steady_clock::now();
+    for (unsigned t = 0; t < threads; ++t) {
+      clients.emplace_back([&, t] {
+        WhatIfReport buffer;
+        size_t next = t * pool.size() / threads;
+        for (size_t i = 0; i < kPerThread; ++i) {
+          if (!server.TryScoreCached(pool[next], &buffer)) ++misses[t];
+          if (++next == pool.size()) next = 0;
+        }
+      });
+    }
+    for (std::thread& client : clients) client.join();
+    double seconds = SecondsSince(start);
+    for (size_t missed : misses) {
+      if (missed > 0) {
+        std::fprintf(stderr, "warm hit run missed %zu times\n", missed);
+        std::exit(1);
+      }
+    }
+    runs.push_back(static_cast<double>(kPerThread * threads) / seconds);
+  }
+  return Median(runs);
 }
 
 }  // namespace
@@ -253,6 +358,65 @@ int main() {
     json.Set("fastpath_p50_ns", stats.end_to_end.p50_ms() * 1e6);
     json.Set("fastpath_p99_ns", stats.end_to_end.p99_ms() * 1e6);
     json.Set("fastpath_allocations_per_request", allocations_per_request);
+  }
+
+  // The fingerprint + cache layers in isolation.
+  {
+    const int64_t kPool = 2000;
+    std::vector<ScoreRequest> pool;
+    pool.reserve(kPool);
+    for (int64_t i = 0; i < kPool; ++i) pool.push_back(make_request(9000 + i));
+
+    double fingerprint_ns = FingerprintNsPerJob(pool);
+    std::printf("\nJobGraph::Fingerprint, %lld-graph pool: %.0f ns/job\n",
+                static_cast<long long>(kPool), fingerprint_ns);
+    json.Set("fingerprint_pool_graphs", static_cast<uint64_t>(kPool));
+    json.Set("fingerprint_ns_per_job", fingerprint_ns);
+
+    Result<WhatIfReport> sample = BuildWhatIfReport(
+        pipeline, pool[0].graph, ModelKind::kNn, pool[0].reference_tokens);
+    if (!sample.ok()) {
+      std::fprintf(stderr, "sample report failed: %s\n",
+                   sample.status().ToString().c_str());
+      return 1;
+    }
+    std::printf("\nReportCache::Put into a full cache (each insert evicts):"
+                "\n");
+    for (size_t capacity : {64u, 1024u, 4096u, 16384u, 65536u}) {
+      PutCost cost = MeasurePut(capacity, sample.value());
+      std::printf("  capacity %6zu: %8.3f us/insert  %.3f allocations/insert"
+                  "\n",
+                  capacity, cost.us_per_insert, cost.allocations_per_insert);
+      char key[64];
+      std::snprintf(key, sizeof(key), "cache_put_us_c%zu", capacity);
+      json.Set(key, cost.us_per_insert);
+      std::snprintf(key, sizeof(key), "cache_put_allocations_c%zu", capacity);
+      json.Set(key, cost.allocations_per_insert);
+    }
+
+    PccServerOptions options;
+    options.num_threads = 1;
+    PccServer server(pipeline, options);
+    std::vector<Result<WhatIfReport>> primed = server.ScoreBatch(pool);
+    for (const auto& result : primed) {
+      if (!result.ok()) {
+        std::fprintf(stderr, "priming failed: %s\n",
+                     result.status().ToString().c_str());
+        return 1;
+      }
+    }
+    std::printf("\nwarm TryScoreCached hits over the pool (cache %zu):\n",
+                options.cache_capacity);
+    double single = 0.0;
+    for (unsigned threads : {1u, 2u, 4u}) {
+      double rate = WarmHitsPerSecond(server, pool, threads);
+      if (threads == 1) single = rate;
+      std::printf("  %u thread%s: %10.0f hits/s  (%.2fx)\n", threads,
+                  threads == 1 ? " " : "s", rate, rate / single);
+      char key[48];
+      std::snprintf(key, sizeof(key), "warm_hit_per_s_t%u", threads);
+      json.Set(key, rate);
+    }
   }
 
   std::printf("\nserver stats (warm, 8 threads):\n%s",

@@ -150,7 +150,7 @@ def check(index, opts):
                 "atomic-outside-sync", src.rel,
                 src.line_of(raw_atomic.start()),
                 "raw std::atomic outside src/common/sync/: compose the "
-                "vetted primitives (Snapshot<T>, MpscQueue<T>) instead, or "
+                "vetted primitives (MpscQueue<T>) instead, or "
                 f"allowlist this file in {ALLOWLIST_PATH} with a rationale"))
         for match in CAS_RE.finditer(src.code):
             line = src.line_of(match.start())

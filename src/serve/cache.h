@@ -1,14 +1,14 @@
 #ifndef TASQ_SERVE_CACHE_H_
 #define TASQ_SERVE_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "common/hot.h"
-#include "common/sync/snapshot.h"
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
 #include "tasq/what_if.h"
 
 namespace tasq {
@@ -31,10 +31,9 @@ struct ReportCacheKey {
   }
 };
 
-/// Splitmix-style mix of the four key fields — the hash behind
-/// ReportCacheKeyHash, exposed as a free function so the hot-path
-/// analyzer can anchor its contract here (the functor call inside
-/// unordered_map is invisible to a textual call graph).
+/// Splitmix-style mix of the four key fields — the hash that places a key
+/// in its shard and its bucket. A free function so the hot-path
+/// analyzer sees the call from GetInto.
 TASQ_HOT size_t HashReportCacheKey(const ReportCacheKey& key);
 
 /// Hash for ReportCacheKey; delegates to HashReportCacheKey.
@@ -60,18 +59,27 @@ struct ReportCacheCounters {
 /// and skips model inference entirely. Capacity 0 disables caching (every
 /// Get is a miss, Put is a no-op) — handy for A/B benchmarks.
 ///
-/// Concurrency design (PR 8, ROADMAP item 1): the table is an immutable
-/// snapshot behind Snapshot<Table>, so the read path — GetInto, the
-/// serving fast path — takes **zero locks**: one lock-free snapshot pin,
-/// a hash lookup, and relaxed-atomic counter bumps. Writers (Put) do
-/// copy-update-swap of the whole table through Snapshot::Update, which
-/// holds the snapshot's one writer lock from copy to publish; recency is
-/// a shared monotonic tick written into each entry's relaxed atomic
-/// `last_used` on every hit, and eviction scans for the minimum tick.
-/// Under sequential use the tick order is exactly the classic list-LRU
-/// order (the unit tests pin this); under concurrency it is LRU up to
-/// racing hits, which only shifts *which* entry evicts, never breaks
-/// the size bound.
+/// Design: a fixed number of shards, chosen from the capacity alone
+/// (one shard below 512 entries, then one per 256 entries up to 16).
+/// Shard capacities sum to `capacity`. Each shard is an O(1) LRU behind
+/// its own mutex:
+///   - every node is allocated at construction; a node holds one key, its
+///     report, its links on a doubly linked recency list, and its link in
+///     a hash bucket's chain;
+///   - a bucket array (one bucket per node, rounded up to a power of two)
+///     heads the chains, so a lookup walks about one node;
+///   - Put overwrites the found node, a fresh node, or the recycled tail
+///     node in place, so an insert takes the same steps at any
+///     capacity. The tail is unchained by its node id, never by key
+///     comparison, so a key that equals nothing (a NaN
+///     `reference_tokens`) still leaves;
+///   - GetInto splices the node to the list front and copy-assigns its
+///     report into the caller's buffer.
+/// A lookup and an insert each hold one shard lock for a constant number
+/// of steps, and GetInto never allocates under it. A single-shard cache
+/// is an exact LRU (the unit tests pin the order); a sharded one is LRU
+/// within each shard. The counters live in the shards too, so they need
+/// no atomics: each is updated under its shard's lock.
 class ReportCache {
  public:
   explicit ReportCache(size_t capacity);
@@ -83,57 +91,69 @@ class ReportCache {
 
   /// Copies the cached report into `*out` (refreshing recency) and
   /// returns true, or returns false on a miss leaving `*out` untouched.
-  /// Counts the hit/miss either way. Lock-free (Snapshot<Table> pin; no
-  /// mutex anywhere on this path) and steady-state allocation-free: the
+  /// Counts the hit/miss either way. Takes one shard lock
+  /// (scripts/hot_locks.txt) and is steady-state allocation-free: the
   /// copy-assign into a warm `*out` reuses the curve vector's existing
   /// capacity, so a caller that recycles its report buffer pays zero
   /// heap allocations per hit (pinned by tests/hot_path_test.cc).
   TASQ_HOT bool GetInto(const ReportCacheKey& key, WhatIfReport* out);
 
-  /// Inserts (or refreshes) `report`, evicting the least recently used
-  /// entry when at capacity. Cold path: copies the table (shared_ptr
-  /// per entry, not report bytes) and publishes the new version.
-  void Put(const ReportCacheKey& key, WhatIfReport report);
+  /// Inserts (or refreshes) `report`, evicting the shard's least recently
+  /// used entry when the shard is full. Copy-assigns into a node built at
+  /// construction, so its step count does not depend on the capacity.
+  void Put(const ReportCacheKey& key, const WhatIfReport& report);
 
-  /// Point-in-time counters. Each counter is individually exact; a
-  /// cross-counter snapshot is only guaranteed consistent when no
-  /// concurrent operations are in flight (true everywhere it is read:
-  /// tests and post-drain stats).
+  /// Point-in-time counters, summed over the shards. Each shard's share
+  /// is read under its lock; the sum is exact whenever no operation is in
+  /// flight (true everywhere it is read: tests and post-drain stats).
   ReportCacheCounters counters() const;
 
  private:
-  /// One cached report. The report is immutable after publication; the
-  /// recency tick is the only mutable field and is updated by readers
-  /// through a relaxed store (no ordering needed — it feeds an eviction
-  /// heuristic, not a happens-before edge).
-  struct CacheEntry {
+  /// Marks an empty bucket and the ends of the recency list and chains.
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  struct Node {
+    ReportCacheKey key;
+    size_t hash = 0;
+    uint32_t prev = kNone;   // Toward the most recently used end.
+    uint32_t next = kNone;   // Toward the least recently used end.
+    uint32_t chain = kNone;  // Next node in the same bucket.
     WhatIfReport report;
-    mutable std::atomic<uint64_t> last_used{0};
   };
 
-  /// Entries are shared between successive table versions, so a hit's
-  /// recency bump is visible to the writer regardless of which version
-  /// the reader pinned.
-  using Table =
-      std::unordered_map<ReportCacheKey, std::shared_ptr<const CacheEntry>,
-                         ReportCacheKeyHash>;
+  /// One independently locked LRU.
+  struct Shard {
+    Mutex mutex;
+    uint32_t head TASQ_GUARDED_BY(mutex) = kNone;  // Most recently used.
+    uint32_t tail TASQ_GUARDED_BY(mutex) = kNone;  // Least recently used.
+    uint32_t used TASQ_GUARDED_BY(mutex) = 0;      // Live nodes.
+    uint64_t hits TASQ_GUARDED_BY(mutex) = 0;
+    uint64_t misses TASQ_GUARDED_BY(mutex) = 0;
+    uint64_t evictions TASQ_GUARDED_BY(mutex) = 0;
+    uint64_t insertions TASQ_GUARDED_BY(mutex) = 0;
+    /// Sized once to the shard's capacity; the first `used` are live.
+    std::vector<Node> nodes TASQ_GUARDED_BY(mutex);
+    /// First node of each chain; a power-of-two count.
+    std::vector<uint32_t> buckets TASQ_GUARDED_BY(mutex);
+  };
 
-  uint64_t NextTick() const {
-    // Relaxed: the tick is a monotonic recency stamp; ordering between
-    // the bump and the entry store it feeds is irrelevant to safety.
-    return tick_.fetch_add(1, std::memory_order_relaxed);
+  Shard& ShardOf(size_t hash) const {
+    return shards_[(hash >> 48) & shard_mask_];
   }
 
-  const size_t capacity_;  // Immutable after construction.
-  Snapshot<Table> table_;
-  /// Monotonic recency clock; advanced (relaxed) by hits and inserts.
-  mutable std::atomic<uint64_t> tick_{0};
-  // Statistic counters: relaxed throughout — each is an independent
-  // monotonic event count, never used to order or publish other data.
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> insertions_{0};
+  /// The live node holding `key`, or kNone.
+  static uint32_t Find(const Shard& shard, const ReportCacheKey& key,
+                       size_t hash) TASQ_REQUIRES(shard.mutex);
+  /// Removes node `id` from its bucket's chain.
+  static void Unchain(Shard& shard, uint32_t id) TASQ_REQUIRES(shard.mutex);
+  static void LinkFront(Shard& shard, uint32_t id) TASQ_REQUIRES(shard.mutex);
+  static void Unlink(Shard& shard, uint32_t id) TASQ_REQUIRES(shard.mutex);
+  static void MoveToFront(Shard& shard, uint32_t id)
+      TASQ_REQUIRES(shard.mutex);
+
+  const size_t capacity_;    // Immutable after construction.
+  const size_t shard_mask_;  // Shard count - 1; the count is a power of 2.
+  const std::unique_ptr<Shard[]> shards_;
 };
 
 }  // namespace tasq

@@ -332,10 +332,9 @@ void PccServer::ScoreOne(Pending& pending) {
 
 void PccServer::FulfillOk(Pending& pending, WhatIfReport report,
                           bool from_cache) {
-  // The capacity check lives here, not just inside Put: with caching
-  // disabled the by-value parameter copy (curve vector and all) would be
-  // the cold path's biggest per-request allocation, paid for nothing.
-  if (!from_cache && options_.cache_capacity > 0) {
+  // Put copy-assigns into a node the cache built at construction, so a
+  // recycled node whose curve has the same length allocates nothing.
+  if (!from_cache) {
     cache_.Put(pending.key, report);
   }
   uint64_t total_ns = NsSince(pending.submitted_at);

@@ -124,18 +124,16 @@ class PccServer {
   /// Synchronous fingerprint-cache fast path: on a hit, copies the cached
   /// report into `*out` and returns true; on a miss, returns false
   /// leaving `*out` untouched (the caller then goes through Submit).
-  /// This is the zero-allocation, zero-lock serving path: a caller that
-  /// reuses one `WhatIfReport` buffer across requests pays no heap
-  /// allocation, no future/promise machinery, and no lock at all — the
-  /// report table is an immutable snapshot behind Snapshot<Table>
-  /// (src/common/sync/snapshot.h), pinned lock-free per lookup. Pinned
-  /// at exactly 0 allocations per warm hit by tests/hot_path_test.cc and
-  /// enforced transitively by scripts/tasq_analyze/hot.py (whose
-  /// hot-mutex rule, with ReportCache::GetInto now *off* the
-  /// scripts/hot_locks.txt allowlist, is the lock-freedom regression
-  /// gate). Hits count into
-  /// received/completed/cache_hits and end-to-end latency exactly like
-  /// Submit-path requests.
+  /// This is the zero-allocation serving path: a caller that reuses one
+  /// `WhatIfReport` buffer across requests pays no heap allocation and no
+  /// future/promise machinery, and takes exactly one lock — the
+  /// ReportCache shard lock, held for an O(1) lookup, recency splice and
+  /// report copy (src/serve/cache.h). Pinned at exactly 0 allocations per
+  /// warm hit by tests/hot_path_test.cc and enforced transitively by
+  /// scripts/tasq_analyze/hot.py, whose hot-mutex rule admits only that
+  /// one shard lock (ReportCache::GetInto in scripts/hot_locks.txt).
+  /// Hits count into received/completed/cache_hits and end-to-end
+  /// latency exactly like Submit-path requests.
   TASQ_HOT bool TryScoreCached(const ScoreRequest& request,
                                WhatIfReport* out)
       TASQ_EXCLUDES(mutex_, stats_mutex_);

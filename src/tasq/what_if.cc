@@ -40,7 +40,8 @@ Result<WhatIfReport> BuildWhatIfReport(const Tasq& tasq, const JobGraph& graph,
                                        ModelKind model,
                                        double reference_tokens,
                                        size_t grid_points) {
-  if (reference_tokens < 1.0) {
+  // Written so NaN fails too: a NaN request would score to a NaN report.
+  if (!(reference_tokens >= 1.0)) {
     return Status::InvalidArgument("reference tokens must be at least 1");
   }
   grid_points = std::max<size_t>(3, grid_points);
@@ -97,7 +98,8 @@ Result<WhatIfReport> BuildWhatIfReportFromPcc(const PowerLawPcc& pcc,
     return Status::InvalidArgument(
         "XGBoost SS has no parametric PCC; use BuildWhatIfReport");
   }
-  if (reference_tokens < 1.0) {
+  // Written so NaN fails too: a NaN request would score to a NaN report.
+  if (!(reference_tokens >= 1.0)) {
     return Status::InvalidArgument("reference tokens must be at least 1");
   }
   grid_points = std::max<size_t>(3, grid_points);

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -296,6 +298,142 @@ TEST(FingerprintPropertyTest, StableAcrossSerializationRoundTrip) {
     EXPECT_EQ(loaded.value()[i].job.graph.Fingerprint(), before[i])
         << "job " << i;
   }
+}
+
+
+// The word-wise fingerprint absorbs fields into four lanes, so the cases
+// below aim at what a lane or packing mistake would hide and a `+1`
+// mutation cannot: the same values in other positions, and NaN payloads.
+
+JobGraph BatteryGraph(uint64_t seed, int64_t job_id) {
+  WorkloadConfig config;
+  config.seed = seed;
+  return WorkloadGenerator(config).GenerateJob(job_id).graph;
+}
+
+double* FeatureSlot(OperatorFeatures& f, int index) {
+  double* slots[] = {&f.output_cardinality,    &f.leaf_input_cardinality,
+                     &f.children_input_cardinality, &f.average_row_length,
+                     &f.cost_subtree,          &f.cost_exclusive,
+                     &f.cost_total};
+  return slots[index];
+}
+
+bool SameFeatures(OperatorFeatures a, OperatorFeatures b) {
+  for (int k = 0; k < 7; ++k) {
+    if (*FeatureSlot(a, k) != *FeatureSlot(b, k)) return false;
+  }
+  return a.num_partitions == b.num_partitions &&
+         a.num_partitioning_columns == b.num_partitioning_columns &&
+         a.num_sort_columns == b.num_sort_columns;
+}
+
+TEST(FingerprintPropertyTest, RewiringAnInputKeepingTheCountChangesTheHash) {
+  JobGraph base = BatteryGraph(96, 11);
+  const uint64_t base_print = base.Fingerprint();
+  int rewired = 0;
+  for (size_t i = 0; i < base.operators.size(); ++i) {
+    const OperatorNode& node = base.operators[i];
+    for (size_t slot = 0; slot < node.inputs.size(); ++slot) {
+      if (node.id < 2) continue;  // Needs a second earlier operator.
+      JobGraph mutated = base;
+      int& input = mutated.operators[i].inputs[slot];
+      input = input == 0 ? 1 : input - 1;
+      ASSERT_EQ(mutated.operators[i].inputs.size(), node.inputs.size());
+      ASSERT_TRUE(mutated.Validate().ok());
+      EXPECT_NE(mutated.Fingerprint(), base_print)
+          << "op " << i << " input " << slot;
+      ++rewired;
+    }
+  }
+  EXPECT_GT(rewired, 0);
+}
+
+TEST(FingerprintPropertyTest, SwappingTwoFeaturesWithinAnOperatorChangesTheHash) {
+  JobGraph base = BatteryGraph(97, 5);
+  const uint64_t base_print = base.Fingerprint();
+  int swaps = 0;
+  for (size_t i = 0; i < base.operators.size(); ++i) {
+    for (int a = 0; a < 7; ++a) {
+      for (int b = a + 1; b < 7; ++b) {
+        JobGraph mutated = base;
+        OperatorFeatures& f = mutated.operators[i].features;
+        if (*FeatureSlot(f, a) == *FeatureSlot(f, b)) continue;
+        std::swap(*FeatureSlot(f, a), *FeatureSlot(f, b));
+        EXPECT_NE(mutated.Fingerprint(), base_print)
+            << "op " << i << " features " << a << "<->" << b;
+        ++swaps;
+      }
+    }
+    // The packed integer features too.
+    JobGraph mutated = base;
+    OperatorFeatures& f = mutated.operators[i].features;
+    if (f.num_partitions != f.num_partitioning_columns) {
+      std::swap(f.num_partitions, f.num_partitioning_columns);
+      EXPECT_NE(mutated.Fingerprint(), base_print) << "op " << i;
+      ++swaps;
+    }
+  }
+  EXPECT_GT(swaps, 100);
+}
+
+TEST(FingerprintPropertyTest, SwappingFeatureBlocksOfTwoOperatorsChangesTheHash) {
+  JobGraph base = BatteryGraph(98, 9);
+  ASSERT_GE(base.operators.size(), 3u);
+  const uint64_t base_print = base.Fingerprint();
+  int swaps = 0;
+  for (size_t i = 0; i < base.operators.size(); ++i) {
+    for (size_t j = i + 1; j < base.operators.size(); ++j) {
+      JobGraph mutated = base;
+      std::swap(mutated.operators[i].features, mutated.operators[j].features);
+      if (SameFeatures(base.operators[i].features,
+                       base.operators[j].features)) {
+        continue;  // Equal blocks; the swap changes nothing.
+      }
+      EXPECT_NE(mutated.Fingerprint(), base_print)
+          << "ops " << i << "<->" << j;
+      ++swaps;
+    }
+  }
+  EXPECT_GT(swaps, 0);
+}
+
+TEST(FingerprintPropertyTest, NanPayloadsHashEqual) {
+  JobGraph graph = BatteryGraph(99, 2);
+  auto nan_with = [](uint64_t bits) {
+    double nan = std::bit_cast<double>(bits);
+    EXPECT_TRUE(std::isnan(nan));
+    return nan;
+  };
+  // Quiet NaNs only: a signaling NaN would trap in TASQ_FPE builds.
+  const double payloads[] = {
+      std::numeric_limits<double>::quiet_NaN(),
+      nan_with(0x7FF8000000000001ULL), nan_with(0x7FF800000000DEADULL),
+      nan_with(0xFFF8000000000000ULL), nan_with(0x7FFFFFFFFFFFFFFFULL)};
+  graph.operators[0].features.cost_total = payloads[0];
+  graph.operators.back().features.output_cardinality = payloads[0];
+  const uint64_t reference = graph.Fingerprint();
+  for (double nan : payloads) {
+    graph.operators[0].features.cost_total = nan;
+    graph.operators.back().features.output_cardinality = nan;
+    EXPECT_EQ(graph.Fingerprint(), reference)
+        << std::hex << std::bit_cast<uint64_t>(nan);
+  }
+  graph.operators[0].features.cost_total = 1.0;
+  EXPECT_NE(graph.Fingerprint(), reference);
+}
+
+TEST(FingerprintPropertyTest, TwentyThousandDistinctJobsHashDistinct) {
+  WorkloadConfig config;
+  config.seed = 100;
+  config.recurring_fraction = 0.0;  // Every job is unique by construction.
+  WorkloadGenerator generator(config);
+  const int64_t n = 20000;
+  std::set<uint64_t> prints;
+  for (int64_t id = 0; id < n; ++id) {
+    prints.insert(generator.GenerateJob(id).graph.Fingerprint());
+  }
+  EXPECT_EQ(prints.size(), static_cast<size_t>(n));
 }
 
 }  // namespace

@@ -8,11 +8,13 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "serve/cache.h"
 #include "serve/latency_histogram.h"
 #include "serve/server.h"
@@ -155,6 +157,148 @@ TEST(ServeCacheTest, ZeroCapacityDisablesCaching) {
   EXPECT_FALSE(cache.Get(key).has_value());
   EXPECT_EQ(cache.counters().insertions, 0u);
 }
+
+TEST(ServeCacheTest, NanTokenKeysNeverHitAndStillEvict) {
+  // A NaN reference_tokens makes a key unequal to every key, itself
+  // included, so each Put inserts a fresh entry that no Get can find.
+  // Eviction must still remove those entries (regression: eviction looked
+  // the victim up by key, missed it, and left a stale index entry behind
+  // on every NaN eviction until lookups in that shard never ended).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (size_t capacity : {size_t{2}, size_t{600}}) {
+    ReportCache cache(capacity);
+    ReportCacheKey good{1, ModelKind::kNn, 10.0, 9};
+    for (uint64_t i = 0; i < 20 * capacity + 2000; ++i) {
+      ReportCacheKey key{i, ModelKind::kNn, nan, 9};
+      cache.Put(key, TinyReport(1.0));
+      EXPECT_FALSE(cache.Get(key).has_value());
+      if (i % 5 == 0) cache.Put(good, TinyReport(2.0));
+      ASSERT_LE(cache.counters().size, capacity);
+    }
+    ReportCacheCounters counters = cache.counters();
+    EXPECT_EQ(counters.insertions - counters.evictions, counters.size);
+    EXPECT_EQ(counters.size, capacity);
+    cache.Put(good, TinyReport(3.0));
+    ASSERT_TRUE(cache.Get(good).has_value());
+    EXPECT_DOUBLE_EQ(cache.Get(good)->reference_tokens, 3.0);
+  }
+}
+
+// ---- ReportCache under concurrency ---------------------------------------
+//
+// Four threads mix GetInto and Put over a key space four times the
+// capacity, so lookups hit and miss, inserts evict, and evictions race
+// lookups of the victim. Each key's report encodes the key, so a hit that
+// returned another key's report (a torn or misrouted node) fails. The
+// suite name contains `Serve` so the TSan leg runs it.
+
+WhatIfReport ReportForKey(uint64_t k) {
+  WhatIfReport report;
+  report.reference_tokens = static_cast<double>(k);
+  report.curve.resize(1 + k % 3);
+  for (WhatIfPoint& point : report.curve) {
+    point.tokens = static_cast<double>(k) * 2.0;
+  }
+  return report;
+}
+
+bool IsReportForKey(const WhatIfReport& report, uint64_t k) {
+  if (report.reference_tokens != static_cast<double>(k)) return false;
+  if (report.curve.size() != 1 + k % 3) return false;
+  for (const WhatIfPoint& point : report.curve) {
+    if (point.tokens != static_cast<double>(k) * 2.0) return false;
+  }
+  return true;
+}
+
+void StressCache(size_t capacity) {
+  constexpr int kThreads = 4;
+  constexpr uint64_t kMinOpsPerThread = 20000;
+  ReportCache cache(capacity);
+  const uint64_t key_space = 4 * capacity;
+  auto key_of = [](uint64_t k) {
+    return ReportCacheKey{k + 1, ModelKind::kNn, 10.0, 9};
+  };
+
+  // Overlap witness: the most threads ever inside a cache call at once.
+  // A run that never overlapped proves nothing about concurrency.
+  std::atomic<int> inside{0};
+  std::atomic<int> peak_inside{0};
+  std::atomic<int> ready{0};
+  std::atomic<uint64_t> lookups{0};
+  std::atomic<uint64_t> hits{0};
+  std::atomic<uint64_t> wrong_reports{0};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(1000 + static_cast<uint64_t>(t));
+      WhatIfReport buffer;
+      uint64_t my_lookups = 0;
+      uint64_t my_hits = 0;
+      uint64_t my_wrong = 0;
+      // Relaxed throughout: the counters are joined before they are read,
+      // and the witness only needs each thread's own increments in order.
+      ready.fetch_add(1, std::memory_order_relaxed);
+      while (ready.load(std::memory_order_relaxed) < kThreads) {
+        std::this_thread::yield();
+      }
+      // Run the minimum, then keep going until two calls have overlapped
+      // (or the deadline passes, and the witness check below fails).
+      for (uint64_t op = 0;
+           op < kMinOpsPerThread ||
+           (peak_inside.load(std::memory_order_relaxed) < 2 &&
+            std::chrono::steady_clock::now() < deadline);
+           ++op) {
+        uint64_t k = static_cast<uint64_t>(
+            rng.UniformInt(0, static_cast<int64_t>(key_space) - 1));
+        bool lookup = rng.UniformInt(0, 1) == 0;
+        WhatIfReport report;
+        if (!lookup) report = ReportForKey(k);  // Built outside the witness.
+        int now = inside.fetch_add(1, std::memory_order_relaxed) + 1;
+        int seen = peak_inside.load(std::memory_order_relaxed);
+        while (now > seen && !peak_inside.compare_exchange_weak(
+                                 seen, now, std::memory_order_relaxed)) {
+        }
+        if (lookup) {
+          ++my_lookups;
+          if (cache.GetInto(key_of(k), &buffer)) {
+            ++my_hits;
+            if (!IsReportForKey(buffer, k)) ++my_wrong;
+          }
+        } else {
+          cache.Put(key_of(k), report);
+        }
+        inside.fetch_sub(1, std::memory_order_relaxed);
+      }
+      lookups.fetch_add(my_lookups, std::memory_order_relaxed);
+      hits.fetch_add(my_hits, std::memory_order_relaxed);
+      wrong_reports.fetch_add(my_wrong, std::memory_order_relaxed);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_GE(peak_inside.load(), 2)
+      << "no two cache calls ever overlapped; the run was serialized";
+  EXPECT_EQ(wrong_reports.load(), 0u);
+  ReportCacheCounters counters = cache.counters();
+  EXPECT_EQ(counters.hits + counters.misses, lookups.load());
+  EXPECT_EQ(counters.hits, hits.load());
+  EXPECT_GT(counters.hits, 0u);
+  EXPECT_GT(counters.misses, 0u);
+  EXPECT_GT(counters.evictions, 0u);
+  EXPECT_EQ(counters.insertions - counters.evictions, counters.size);
+  EXPECT_LE(counters.size, capacity);
+  EXPECT_EQ(counters.capacity, capacity);
+}
+
+TEST(ServeCacheStressTest, SingleShardAtCapacity2) { StressCache(2); }
+
+TEST(ServeCacheStressTest, SingleShardAtCapacity64) { StressCache(64); }
+
+TEST(ServeCacheStressTest, ShardedAtCapacity4096) { StressCache(4096); }
 
 // ---- Fingerprint (serving-side determinism) ------------------------------
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "gbdt/gbdt.h"
 #include "tasq/what_if.h"
 #include "workload/generator.h"
@@ -94,6 +96,18 @@ TEST_F(WhatIfFixture, ValidatesInput) {
   Tasq untrained;
   EXPECT_FALSE(
       BuildWhatIfReport(untrained, job.graph, ModelKind::kNn, 50.0).ok());
+}
+
+TEST_F(WhatIfFixture, RejectsNanReferenceTokens) {
+  // NaN passes a `< 1.0` check; every model must refuse it instead of
+  // returning a NaN report (which the serving cache could never match).
+  Job job = generator_->GenerateJob(903);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (ModelKind model : {ModelKind::kNn, ModelKind::kGnn,
+                          ModelKind::kXgboostSs}) {
+    EXPECT_FALSE(
+        BuildWhatIfReport(*pipeline_, job.graph, model, nan).ok());
+  }
 }
 
 TEST(FeatureImportanceTest, HighlightsInformativeFeature) {
