@@ -149,8 +149,8 @@ def check(index, opts):
             findings.append(Finding(
                 "atomic-outside-sync", src.rel,
                 src.line_of(raw_atomic.start()),
-                "raw std::atomic outside src/common/sync/: compose the "
-                "vetted primitives (MpscQueue<T>) instead, or "
+                "raw std::atomic outside src/common/sync/: guard the "
+                "state with a Mutex (common/mutex.h) instead, or "
                 f"allowlist this file in {ALLOWLIST_PATH} with a rationale"))
         for match in CAS_RE.finditer(src.code):
             line = src.line_of(match.start())

@@ -7,15 +7,14 @@
 #include <deque>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/hot.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "serve/cache.h"
 #include "serve/latency_histogram.h"
-#include "serve/thread_pool.h"
 #include "tasq/tasq.h"
 #include "tasq/what_if.h"
 #include "workload/job_graph.h"
@@ -95,8 +94,10 @@ struct PccServerOptions {
 
 /// The compile-time scoring service of paper §2.2: accepts what-if scoring
 /// requests for submitted jobs, answers recurring jobs from a fingerprint
-/// cache, and batches the rest through the trained pipeline on a
-/// persistent worker pool.
+/// cache, and batches the rest through the trained pipeline. The server
+/// owns its workers: the constructor starts `num_threads` threads, each
+/// running one loop that waits on the bounded request queue, takes up to
+/// `max_batch` requests and scores them.
 ///
 /// The server borrows the pipeline: `tasq` must stay alive and untouched
 /// (no Train/Save/move) for the server's lifetime. Scoring a trained Tasq
@@ -148,7 +149,8 @@ class PccServer {
 
   /// Graceful shutdown: stops accepting requests, scores everything
   /// already enqueued, fulfills every outstanding future, joins the
-  /// workers. Idempotent; also runs from the destructor.
+  /// workers. Idempotent (exactly one caller joins); also runs from the
+  /// destructor.
   void Shutdown() TASQ_EXCLUDES(mutex_, stats_mutex_);
 
   /// Consistent snapshot of counters and latency accumulators.
@@ -162,27 +164,25 @@ class PccServer {
     std::chrono::steady_clock::time_point submitted_at;
   };
 
-  /// Per-drainer scratch, reused across every batch the drainer
-  /// processes. Batch-assembly storage (per-kind index groups, graph
-  /// pointers, reference tokens, predicted PCCs) comes from a bump
-  /// arena that Reset()s at each batch boundary: after the arena's
-  /// blocks have grown to the realized batch size, the whole assembly
-  /// path performs zero heap allocations per batch (src/common/arena.h;
-  /// the ownership rules are enforced by scripts/tasq_analyze/own.py). The
-  /// pending requests themselves stay in a std::vector — promises have
-  /// nontrivial destructors and outlive the batch via their futures, so
-  /// they must not live in the arena. `tasq` carries the feature-row and
-  /// NN-activation buffers for Tasq::PredictPccBatchInto. One instance
-  /// per DrainQueue activation — never shared, so no lock guards it.
+  /// One worker's scratch, alive as long as the worker and never shared,
+  /// so no lock guards it. Every vector is cleared, never freed, between
+  /// batches: once each has grown to the realized batch size, assembling
+  /// a batch (per-kind index groups, graph pointers, reference tokens,
+  /// predicted PCCs) allocates nothing. `tasq` carries the feature-row and
+  /// NN-activation buffers for Tasq::PredictPccBatchInto.
   struct BatchScratch {
     std::vector<Pending> batch;
-    ScratchArena arena;
+    std::vector<size_t> parametric[kModelKindCount];
+    std::vector<const JobGraph*> graphs;
+    std::vector<double> reference_tokens;
+    std::vector<PowerLawPcc> pccs;
     TasqBatchScratch tasq;
   };
 
-  /// Worker-side loop: repeatedly pulls up to max_batch pending requests
-  /// and scores them; exits when the queue is empty.
-  void DrainQueue() TASQ_EXCLUDES(mutex_, stats_mutex_);
+  /// Body of every worker thread: waits for requests, takes up to
+  /// max_batch of them and scores them; returns once shutdown has begun
+  /// and the queue is empty.
+  void WorkerLoop() TASQ_EXCLUDES(mutex_, stats_mutex_);
   void ProcessBatch(BatchScratch& scratch)
       TASQ_EXCLUDES(stats_mutex_);
   void ScoreOne(Pending& pending) TASQ_EXCLUDES(stats_mutex_);
@@ -194,16 +194,19 @@ class PccServer {
   const Tasq& tasq_;
   PccServerOptions options_;  // Normalized in the ctor, immutable after.
   ReportCache cache_;
-  ThreadPool pool_;
 
-  // Request-path state: the bounded pending queue and its backpressure.
+  // Request-path state: the bounded pending queue, its two wake-ups and
+  // the workers that drain it.
   // Lock ordering: never hold mutex_ and stats_mutex_ at the same time.
   mutable Mutex mutex_;
-  CondVar space_free_cv_;
+  CondVar work_ready_cv_;  // Signals workers: a request or shutdown.
+  CondVar space_free_cv_;  // Signals producers: queue space or shutdown.
   std::deque<Pending> queue_ TASQ_GUARDED_BY(mutex_);
-  size_t active_drainers_ TASQ_GUARDED_BY(mutex_) = 0;
   bool shutting_down_ TASQ_GUARDED_BY(mutex_) = false;
   size_t max_queue_depth_ TASQ_GUARDED_BY(mutex_) = 0;
+  // Started in the constructor, swapped out once under mutex_ by the
+  // first Shutdown, which joins them.
+  std::vector<std::thread> workers_ TASQ_GUARDED_BY(mutex_);
 
   // Per-request observability: lock-free so the cache-hit fast path
   // (TryScoreCached) records without touching any mutex. Relaxed ordering
@@ -216,7 +219,7 @@ class PccServer {
   LatencyHistogram end_to_end_hist_;
 
   // Batch-path observability, off the request path entirely (only
-  // drainers touch these, once per batch).
+  // workers touch these, once per batch).
   mutable Mutex stats_mutex_;
   uint64_t batches_ TASQ_GUARDED_BY(stats_mutex_) = 0;
   uint64_t batched_requests_ TASQ_GUARDED_BY(stats_mutex_) = 0;

@@ -58,10 +58,11 @@ struct TokenRecommendation {
 };
 
 /// Reusable buffers for Tasq::PredictPccBatchInto: the standardized
-/// feature-row matrix plus the NN's activation scratch. A serving worker
-/// keeps one per drain loop; once warm, batch prediction allocates no
-/// heap memory at all (features go through Featurizer::JobLevelInto's
-/// stack row into `rows`, whose capacity persists across batches).
+/// feature-row matrix plus the NN's activation scratch. Each serving
+/// worker keeps one for its lifetime; once warm, batch prediction
+/// allocates no heap memory at all (features go through
+/// Featurizer::JobLevelInto's stack row into `rows`, whose capacity
+/// persists across batches).
 struct TasqBatchScratch {
   std::vector<double> rows;
   NnPccModel::InferenceScratch nn;

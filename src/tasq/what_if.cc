@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "pcc/pcc.h"
 
@@ -34,16 +35,30 @@ std::vector<double> ReportGrid(double reference_tokens, size_t points) {
   return grid;
 }
 
+/// Rejects requests that would score to a non-finite report (NaN and
+/// +inf both pass a plain `< 1.0` check) or make the report grid allocate
+/// without bound.
+TASQ_NODISCARD Status ValidateRequest(double reference_tokens,
+                                     size_t grid_points) {
+  if (!std::isfinite(reference_tokens) || reference_tokens < 1.0) {
+    return Status::InvalidArgument(
+        "reference tokens must be finite and at least 1");
+  }
+  if (grid_points > kMaxGridPoints) {
+    return Status::InvalidArgument("grid points must be at most " +
+                                   std::to_string(kMaxGridPoints));
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Result<WhatIfReport> BuildWhatIfReport(const Tasq& tasq, const JobGraph& graph,
                                        ModelKind model,
                                        double reference_tokens,
                                        size_t grid_points) {
-  // Written so NaN fails too: a NaN request would score to a NaN report.
-  if (!(reference_tokens >= 1.0)) {
-    return Status::InvalidArgument("reference tokens must be at least 1");
-  }
+  Status valid = ValidateRequest(reference_tokens, grid_points);
+  if (!valid.ok()) return valid;
   grid_points = std::max<size_t>(3, grid_points);
 
   if (model != ModelKind::kXgboostSs) {
@@ -98,10 +113,8 @@ Result<WhatIfReport> BuildWhatIfReportFromPcc(const PowerLawPcc& pcc,
     return Status::InvalidArgument(
         "XGBoost SS has no parametric PCC; use BuildWhatIfReport");
   }
-  // Written so NaN fails too: a NaN request would score to a NaN report.
-  if (!(reference_tokens >= 1.0)) {
-    return Status::InvalidArgument("reference tokens must be at least 1");
-  }
+  Status valid = ValidateRequest(reference_tokens, grid_points);
+  if (!valid.ok()) return valid;
   grid_points = std::max<size_t>(3, grid_points);
   WhatIfReport report;
   report.model = model;

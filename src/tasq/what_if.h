@@ -1,6 +1,7 @@
 #ifndef TASQ_TASQ_WHAT_IF_H_
 #define TASQ_TASQ_WHAT_IF_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -43,8 +44,14 @@ struct WhatIfReport {
   std::string ToText() const;
 };
 
+/// Largest `grid_points` a report may ask for. Larger requests fail with
+/// InvalidArgument before anything is allocated, so a hostile request
+/// cannot make a serving worker allocate an unbounded curve.
+inline constexpr size_t kMaxGridPoints = 1024;
+
 /// Builds a what-if report for an unseen job from a trained pipeline.
-/// `grid_points` controls curve resolution (>= 3). For parametric models
+/// `grid_points` controls curve resolution (3 to kMaxGridPoints; smaller
+/// values are raised to 3). `reference_tokens` must be finite and >= 1. For parametric models
 /// the job is featurized and scored exactly once; the curve, elbow, and
 /// both recommendations all derive from that single predicted PCC.
 TASQ_NODISCARD Result<WhatIfReport> BuildWhatIfReport(const Tasq& tasq, const JobGraph& graph,

@@ -200,8 +200,9 @@ TEST_F(HotPathTest, WarmCacheHitPathAllocatesExactlyZero) {
 // assembly — stays within a single-digit allocation budget. Featurization
 // runs through Featurizer::JobLevelInto (stack row), inference through
 // Tasq::PredictPccBatchInto (reused matrices), and batch assembly through
-// the drainer's ScratchArena, so what remains per request is the future's
-// shared state, the report's curve vectors, and amortized queue blocks.
+// the worker's BatchScratch vectors (cleared, never freed, between batches),
+// so what remains per request is the future's shared state, the report's
+// curve vectors, and amortized queue blocks.
 TEST_F(HotPathTest, ColdSubmitPathStaysWithinAllocationBudget) {
   constexpr int kRequests = 192;
   constexpr uint64_t kBudgetPerRequest = 8;

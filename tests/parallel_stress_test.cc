@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
@@ -15,13 +18,22 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "overlap_witness.h"
 #include "serve/server.h"
-#include "serve/thread_pool.h"
 #include "tasq/what_if.h"
 #include "workload/generator.h"
 
 namespace tasq {
 namespace {
+
+using tasq_test::OverlapScope;
+using tasq_test::OverlapWitness;
+
+// The loops below that claim concurrency run on an explicit 4 threads (not
+// the host's core count, which may be 1) and carry an overlap witness: the
+// first body in waits, bounded, for a second one to join it, so a
+// ParallelFor that ran its bodies one at a time fails the test.
+constexpr unsigned kStressThreads = 4;
 
 // Shared-slot writes: the canonical usage pattern (each index owns slot i
 // of a pre-sized vector). TSan must see no race between distinct slots or
@@ -29,9 +41,16 @@ namespace {
 TEST(ParallelStressTest, SharedSlotWritesAreRaceFree) {
   const size_t n = 10000;
   std::vector<double> out(n, 0.0);
-  ParallelFor(n, [&](size_t i) {
-    out[i] = static_cast<double>(i) * 0.5;
-  });
+  OverlapWitness witness;
+  ParallelFor(
+      n,
+      [&](size_t i) {
+        OverlapScope scope(witness);
+        witness.AwaitOverlap();
+        out[i] = static_cast<double>(i) * 0.5;
+      },
+      kStressThreads);
+  EXPECT_TRUE(witness.overlapped()) << "bodies never overlapped";
   double sum = std::accumulate(out.begin(), out.end(), 0.0);
   EXPECT_DOUBLE_EQ(sum, 0.5 * static_cast<double>(n) * (n - 1) / 2.0);
 }
@@ -42,10 +61,17 @@ TEST(ParallelStressTest, MutexGuardedAccumulatorIsRaceFree) {
   const size_t n = 5000;
   std::mutex mutex;
   long total = 0;
-  ParallelFor(n, [&](size_t i) {
-    std::lock_guard<std::mutex> lock(mutex);
-    total += static_cast<long>(i);
-  });
+  OverlapWitness witness;
+  ParallelFor(
+      n,
+      [&](size_t i) {
+        OverlapScope scope(witness);
+        witness.AwaitOverlap();
+        std::lock_guard<std::mutex> lock(mutex);
+        total += static_cast<long>(i);
+      },
+      kStressThreads);
+  EXPECT_TRUE(witness.overlapped()) << "bodies never overlapped";
   EXPECT_EQ(total, static_cast<long>(n) * (n - 1) / 2);
 }
 
@@ -55,10 +81,17 @@ TEST(ParallelStressTest, AtomicContentionVisitsEveryIndexOnce) {
   const size_t n = 50000;
   std::atomic<size_t> visited{0};
   std::vector<std::atomic<unsigned char>> seen(n);
-  ParallelFor(n, [&](size_t i) {
-    visited.fetch_add(1, std::memory_order_relaxed);
-    seen[i].fetch_add(1, std::memory_order_relaxed);
-  });
+  OverlapWitness witness;
+  ParallelFor(
+      n,
+      [&](size_t i) {
+        OverlapScope scope(witness);
+        witness.AwaitOverlap();
+        visited.fetch_add(1, std::memory_order_relaxed);
+        seen[i].fetch_add(1, std::memory_order_relaxed);
+      },
+      kStressThreads);
+  EXPECT_TRUE(witness.overlapped()) << "bodies never overlapped";
   EXPECT_EQ(visited.load(), n);
   for (size_t i = 0; i < n; ++i) {
     ASSERT_EQ(int{seen[i].load()}, 1) << "index " << i;
@@ -186,45 +219,58 @@ TEST(ParallelStressTest, RepeatedLaunchesStayConsistent) {
 // scoring path (lazy caches, shared scratch buffers) shows up as a data
 // race here before it can corrupt production scores.
 
+// Smallest configuration that trains all four models: the tests below
+// probe concurrency, not accuracy, and this binary also runs under TSan's
+// ~20x slowdown. Built once, on first use, and shared by every test here
+// that scores.
+struct TrainedPipeline {
+  std::unique_ptr<WorkloadGenerator> generator;
+  std::unique_ptr<Tasq> tasq;
+  bool trained = false;
+};
+
+TrainedPipeline TrainPipeline() {
+  TrainedPipeline built;
+  WorkloadConfig config;
+  config.seed = 17;
+  built.generator = std::make_unique<WorkloadGenerator>(config);
+  NoiseModel noise;
+  noise.enabled = true;
+  auto observed = ObserveWorkload(built.generator->Generate(0, 80), noise, 1);
+  TasqOptions options;
+  options.nn.epochs = 6;
+  options.gnn.epochs = 1;
+  options.gnn.gcn_hidden = {8};
+  options.gnn.head_hidden = {8};
+  options.xgb.gbdt.num_trees = 10;
+  built.tasq = std::make_unique<Tasq>(options);
+  built.trained = observed.ok() && built.tasq->Train(observed.value()).ok();
+  return built;
+}
+
+const TrainedPipeline& SharedPipeline() {
+  static const TrainedPipeline shared = TrainPipeline();
+  return shared;
+}
+
 class ParallelStressPipelineTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    WorkloadConfig config;
-    config.seed = 17;
-    generator_ = new WorkloadGenerator(config);
-    NoiseModel noise;
-    noise.enabled = true;
-    auto observed =
-        ObserveWorkload(generator_->Generate(0, 80), noise, 1).value();
-    // Smallest configuration that trains all four models: the tests below
-    // probe concurrency, not accuracy, and this binary also runs under
-    // TSan's ~20x slowdown.
-    TasqOptions options;
-    options.nn.epochs = 6;
-    options.gnn.epochs = 1;
-    options.gnn.gcn_hidden = {8};
-    options.gnn.head_hidden = {8};
-    options.xgb.gbdt.num_trees = 10;
-    pipeline_ = new Tasq(options);
-    ASSERT_TRUE(pipeline_->Train(observed).ok());
-  }
-  static void TearDownTestSuite() {
-    delete pipeline_;
-    delete generator_;
-    pipeline_ = nullptr;
-    generator_ = nullptr;
+    ASSERT_TRUE(SharedPipeline().trained);
+    pipeline_ = SharedPipeline().tasq.get();
+    generator_ = SharedPipeline().generator.get();
   }
 
   static constexpr ModelKind kAllKinds[4] = {
       ModelKind::kXgboostSs, ModelKind::kXgboostPl, ModelKind::kNn,
       ModelKind::kGnn};
 
-  static Tasq* pipeline_;
-  static WorkloadGenerator* generator_;
+  static const Tasq* pipeline_;
+  static const WorkloadGenerator* generator_;
 };
 
-Tasq* ParallelStressPipelineTest::pipeline_ = nullptr;
-WorkloadGenerator* ParallelStressPipelineTest::generator_ = nullptr;
+const Tasq* ParallelStressPipelineTest::pipeline_ = nullptr;
+const WorkloadGenerator* ParallelStressPipelineTest::generator_ = nullptr;
 constexpr ModelKind ParallelStressPipelineTest::kAllKinds[4];
 
 TEST_F(ParallelStressPipelineTest, EightThreadsScoreOnePipelineRaceFree) {
@@ -305,10 +351,17 @@ TEST_F(ParallelStressPipelineTest, ServerStressFromEightProducers) {
 
   std::atomic<int> mismatches{0};
   std::atomic<int> errors{0};
+  std::atomic<int> ready{0};
+  // The most producers ever inside Score at once.
+  OverlapWitness witness;
   std::vector<std::thread> producers;
   for (int t = 0; t < 8; ++t) {
     producers.emplace_back([&, t]() {
       Rng rng(static_cast<uint64_t>(t) + 1);
+      ready.fetch_add(1, std::memory_order_relaxed);
+      while (ready.load(std::memory_order_relaxed) < 8) {
+        std::this_thread::yield();
+      }
       for (int round = 0; round < 20; ++round) {
         size_t pick = static_cast<size_t>(
             rng.Uniform(0.0, static_cast<double>(jobs.size()) - 0.001));
@@ -316,7 +369,10 @@ TEST_F(ParallelStressPipelineTest, ServerStressFromEightProducers) {
         request.graph = jobs[pick].graph;
         request.model = ModelKind::kNn;
         request.reference_tokens = jobs[pick].default_tokens;
-        auto result = server.Score(std::move(request));
+        Result<WhatIfReport> result = [&] {
+          OverlapScope scope(witness);
+          return server.Score(std::move(request));
+        }();
         if (!result.ok()) {
           errors.fetch_add(1);
         } else if (result.value().ToText() != expected[pick]) {
@@ -327,6 +383,8 @@ TEST_F(ParallelStressPipelineTest, ServerStressFromEightProducers) {
   }
   for (std::thread& producer : producers) producer.join();
   server.Shutdown();
+  EXPECT_GE(witness.peak(), 2)
+      << "no two producers were ever inside Score at once";
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
   ServerStats stats = server.Stats();
@@ -334,24 +392,73 @@ TEST_F(ParallelStressPipelineTest, ServerStressFromEightProducers) {
   EXPECT_LE(stats.max_queue_depth, options.queue_capacity);
 }
 
-// ThreadPool under producer/consumer contention: tasks submitted from many
-// threads against a tiny bounded queue, with one graceful shutdown racing
-// the tail of the stream.
-TEST(ParallelStressTest, ThreadPoolContendedSubmitAndShutdown) {
-  ThreadPool pool(4, 2);
-  std::atomic<int> ran{0};
+// Shutdown racing a stream of cold requests: 8 producers submit into a
+// 2-slot queue while the server shuts down under them. Requests accepted
+// before the flag flips must still be scored; the rest must be turned away
+// with FailedPrecondition; no future may hang and no request may go
+// uncounted.
+TEST(ParallelStressTest, ServerShutdownRacesProducers) {
+  const TrainedPipeline& shared = SharedPipeline();
+  ASSERT_TRUE(shared.trained);
+  constexpr int kProducers = 8;
+  constexpr int kPerProducer = 50;
+  std::vector<Job> jobs = shared.generator->Generate(400, kProducers);
+
+  PccServerOptions options;
+  options.num_threads = 4;
+  options.queue_capacity = 2;
+  options.cache_capacity = 0;  // Every request is cold and queues.
+  PccServer server(*shared.tasq, options);
+
+  // The most producers ever inside Submit at once; Shutdown waits for it.
+  OverlapWitness witness;
+  std::vector<std::vector<std::future<Result<WhatIfReport>>>> futures(
+      kProducers);
   std::vector<std::thread> producers;
-  for (int t = 0; t < 8; ++t) {
-    producers.emplace_back([&]() {
-      for (int i = 0; i < 50; ++i) {
-        if (!pool.Submit([&ran]() { ran.fetch_add(1); })) break;
+  for (int t = 0; t < kProducers; ++t) {
+    producers.emplace_back([&, t]() {
+      for (int i = 0; i < kPerProducer; ++i) {
+        ScoreRequest request;
+        request.graph = jobs[static_cast<size_t>(t)].graph;
+        request.model = ModelKind::kNn;
+        // Distinct tokens per request, so no two requests are the same job.
+        request.reference_tokens = 10.0 + t * kPerProducer + i;
+        OverlapScope scope(witness);
+        futures[static_cast<size_t>(t)].push_back(
+            server.Submit(std::move(request)));
       }
     });
   }
+  EXPECT_TRUE(witness.AwaitOverlap())
+      << "no two producers were ever inside Submit at once";
+  server.Shutdown();
   for (std::thread& producer : producers) producer.join();
-  pool.Shutdown();
-  EXPECT_EQ(ran.load(), 8 * 50);
-  EXPECT_FALSE(pool.Submit([]() {}));
+
+  int ok = 0;
+  int rejected = 0;
+  for (auto& producer_futures : futures) {
+    ASSERT_EQ(producer_futures.size(), static_cast<size_t>(kPerProducer));
+    for (auto& future : producer_futures) {
+      ASSERT_EQ(future.wait_for(std::chrono::seconds(60)),
+                std::future_status::ready);
+      Result<WhatIfReport> result = future.get();
+      if (result.ok()) {
+        ++ok;
+      } else {
+        ASSERT_EQ(result.status().code(), StatusCode::kFailedPrecondition)
+            << result.status().ToString();
+        ++rejected;
+      }
+    }
+  }
+  ServerStats stats = server.Stats();
+  constexpr uint64_t kTotal = kProducers * kPerProducer;
+  EXPECT_EQ(stats.received, kTotal);
+  EXPECT_EQ(stats.completed + stats.failed, kTotal);
+  EXPECT_EQ(stats.completed, static_cast<uint64_t>(ok));
+  EXPECT_EQ(stats.failed, static_cast<uint64_t>(rejected));
+  EXPECT_EQ(stats.queue_depth, 0u);
+  EXPECT_LE(stats.max_queue_depth, options.queue_capacity);
 }
 
 }  // namespace

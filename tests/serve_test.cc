@@ -1,12 +1,11 @@
-// Tests of the concurrent PCC serving layer (src/serve): thread-pool
-// semantics, fingerprint-cache behavior, bounded-queue backpressure,
-// graceful shutdown, and — most importantly — that batched/cached/
-// concurrent serving is byte-identical to scoring sequentially.
+// Tests of the concurrent PCC serving layer (src/serve): fingerprint-cache
+// behavior, bounded-queue backpressure, graceful shutdown, hostile
+// requests, and — most importantly — that batched/cached/concurrent
+// serving is byte-identical to scoring sequentially.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <future>
 #include <limits>
 #include <string>
@@ -18,71 +17,12 @@
 #include "serve/cache.h"
 #include "serve/latency_histogram.h"
 #include "serve/server.h"
-#include "serve/thread_pool.h"
+#include "overlap_witness.h"
 #include "tasq/what_if.h"
 #include "workload/generator.h"
 
 namespace tasq {
 namespace {
-
-// ---- ThreadPool ----------------------------------------------------------
-
-TEST(ServeThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4, 64);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(pool.Submit([&ran]() { ran.fetch_add(1); }));
-  }
-  pool.Shutdown();
-  EXPECT_EQ(ran.load(), 50);
-}
-
-TEST(ServeThreadPoolTest, ShutdownDrainsQueuedTasksAndRejectsNewOnes) {
-  ThreadPool pool(1, 64);
-  std::atomic<int> ran{0};
-  // The gate keeps the single worker busy so later tasks pile up queued.
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  ASSERT_TRUE(pool.Submit([opened]() { opened.wait(); }));
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(pool.Submit([&ran]() { ran.fetch_add(1); }));
-  }
-  gate.set_value();
-  pool.Shutdown();  // Graceful: all 10 queued tasks must have run.
-  EXPECT_EQ(ran.load(), 10);
-  EXPECT_FALSE(pool.Submit([]() {}));
-  EXPECT_TRUE(pool.shutting_down());
-}
-
-TEST(ServeThreadPoolTest, BoundedQueueBlocksProducerUntilSpaceFrees) {
-  ThreadPool pool(1, 1);
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  ASSERT_TRUE(pool.Submit([opened]() { opened.wait(); }));  // Occupies worker.
-  ASSERT_TRUE(pool.Submit([]() {}));                        // Fills the queue.
-  std::atomic<bool> third_accepted{false};
-  std::thread producer([&]() {
-    ASSERT_TRUE(pool.Submit([]() {}));  // Must block until the gate opens.
-    third_accepted.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(third_accepted.load()) << "Submit should still be blocked";
-  gate.set_value();
-  producer.join();
-  EXPECT_TRUE(third_accepted.load());
-  pool.Shutdown();
-}
-
-TEST(ServeThreadPoolTest, ParallelForRunsOnThePool) {
-  ThreadPool pool(3, 16);
-  const size_t n = 1000;
-  std::vector<double> out(n, 0.0);
-  ParallelFor(pool, n, [&](size_t i) { out[i] = static_cast<double>(i); });
-  for (size_t i = 0; i < n; ++i) {
-    ASSERT_DOUBLE_EQ(out[i], static_cast<double>(i));
-  }
-  pool.Shutdown();
-}
 
 // ---- ReportCache ---------------------------------------------------------
 
@@ -220,16 +160,13 @@ void StressCache(size_t capacity) {
     return ReportCacheKey{k + 1, ModelKind::kNn, 10.0, 9};
   };
 
-  // Overlap witness: the most threads ever inside a cache call at once.
-  // A run that never overlapped proves nothing about concurrency.
-  std::atomic<int> inside{0};
-  std::atomic<int> peak_inside{0};
+  // The most threads ever inside a cache call at once: a run that never
+  // overlapped proves nothing about concurrency.
+  tasq_test::OverlapWitness witness;
   std::atomic<int> ready{0};
   std::atomic<uint64_t> lookups{0};
   std::atomic<uint64_t> hits{0};
   std::atomic<uint64_t> wrong_reports{0};
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
 
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -247,21 +184,14 @@ void StressCache(size_t capacity) {
       }
       // Run the minimum, then keep going until two calls have overlapped
       // (or the deadline passes, and the witness check below fails).
-      for (uint64_t op = 0;
-           op < kMinOpsPerThread ||
-           (peak_inside.load(std::memory_order_relaxed) < 2 &&
-            std::chrono::steady_clock::now() < deadline);
+      for (uint64_t op = 0; op < kMinOpsPerThread || witness.KeepWaiting();
            ++op) {
         uint64_t k = static_cast<uint64_t>(
             rng.UniformInt(0, static_cast<int64_t>(key_space) - 1));
         bool lookup = rng.UniformInt(0, 1) == 0;
         WhatIfReport report;
         if (!lookup) report = ReportForKey(k);  // Built outside the witness.
-        int now = inside.fetch_add(1, std::memory_order_relaxed) + 1;
-        int seen = peak_inside.load(std::memory_order_relaxed);
-        while (now > seen && !peak_inside.compare_exchange_weak(
-                                 seen, now, std::memory_order_relaxed)) {
-        }
+        tasq_test::OverlapScope scope(witness);
         if (lookup) {
           ++my_lookups;
           if (cache.GetInto(key_of(k), &buffer)) {
@@ -271,7 +201,6 @@ void StressCache(size_t capacity) {
         } else {
           cache.Put(key_of(k), report);
         }
-        inside.fetch_sub(1, std::memory_order_relaxed);
       }
       lookups.fetch_add(my_lookups, std::memory_order_relaxed);
       hits.fetch_add(my_hits, std::memory_order_relaxed);
@@ -280,7 +209,7 @@ void StressCache(size_t capacity) {
   }
   for (std::thread& thread : threads) thread.join();
 
-  EXPECT_GE(peak_inside.load(), 2)
+  EXPECT_GE(witness.peak(), 2)
       << "no two cache calls ever overlapped; the run was serialized";
   EXPECT_EQ(wrong_reports.load(), 0u);
   ReportCacheCounters counters = cache.counters();
@@ -517,6 +446,26 @@ TEST_F(ServeServerTest, InvalidGraphFailsThatRequestOnly) {
   EXPECT_FALSE(results[1].ok());
   EXPECT_TRUE(results[2].ok());
   EXPECT_TRUE(results[3].ok());
+}
+
+TEST_F(ServeServerTest, InfiniteReferenceTokensFailUncached) {
+  std::vector<ScoreRequest> requests = MakeRequests(1100, 1, ModelKind::kNn);
+  PccServerOptions options;
+  options.num_threads = 1;
+  PccServer server(*pipeline_, options);
+  ASSERT_TRUE(server.Score(requests[0]).ok());
+  ASSERT_EQ(server.Stats().cache_size, 1u);
+
+  ScoreRequest hostile = requests[0];
+  hostile.reference_tokens = std::numeric_limits<double>::infinity();
+  Result<WhatIfReport> result = server.Score(std::move(hostile));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.received, 2u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.cache_size, 1u);
 }
 
 TEST_F(ServeServerTest, StatsSnapshotIsCoherentAndPrintable) {

@@ -99,14 +99,50 @@ TEST_F(WhatIfFixture, ValidatesInput) {
 }
 
 TEST_F(WhatIfFixture, RejectsNanReferenceTokens) {
-  // NaN passes a `< 1.0` check; every model must refuse it instead of
-  // returning a NaN report (which the serving cache could never match).
+  // NaN and +inf both pass a `< 1.0` check; every model, and the
+  // report-from-PCC tail the server uses, must refuse them instead of
+  // returning a non-finite report (+inf gave an OK NN report with NaN run
+  // times).
   Job job = generator_->GenerateJob(903);
   const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const PowerLawPcc pcc{-0.5, 100.0};
   for (ModelKind model : {ModelKind::kNn, ModelKind::kGnn,
-                          ModelKind::kXgboostSs}) {
-    EXPECT_FALSE(
-        BuildWhatIfReport(*pipeline_, job.graph, model, nan).ok());
+                          ModelKind::kXgboostPl, ModelKind::kXgboostSs}) {
+    for (double tokens : {nan, inf, -inf}) {
+      Result<WhatIfReport> report =
+          BuildWhatIfReport(*pipeline_, job.graph, model, tokens);
+      ASSERT_FALSE(report.ok()) << ModelKindName(model) << " " << tokens;
+      EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+      if (model == ModelKind::kXgboostSs) continue;
+      Result<WhatIfReport> from_pcc =
+          BuildWhatIfReportFromPcc(pcc, model, tokens);
+      ASSERT_FALSE(from_pcc.ok()) << ModelKindName(model) << " " << tokens;
+      EXPECT_EQ(from_pcc.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+TEST_F(WhatIfFixture, GridPointsAreCappedAtKMaxGridPoints) {
+  Job job = generator_->GenerateJob(905);
+  const PowerLawPcc pcc{-0.5, 100.0};
+  for (ModelKind model : {ModelKind::kNn, ModelKind::kGnn,
+                          ModelKind::kXgboostPl, ModelKind::kXgboostSs}) {
+    Result<WhatIfReport> at_cap = BuildWhatIfReport(
+        *pipeline_, job.graph, model, job.default_tokens, kMaxGridPoints);
+    ASSERT_TRUE(at_cap.ok()) << ModelKindName(model);
+    EXPECT_EQ(at_cap.value().curve.size(), kMaxGridPoints);
+    Result<WhatIfReport> over_cap = BuildWhatIfReport(
+        *pipeline_, job.graph, model, job.default_tokens, kMaxGridPoints + 1);
+    ASSERT_FALSE(over_cap.ok()) << ModelKindName(model);
+    EXPECT_EQ(over_cap.status().code(), StatusCode::kInvalidArgument);
+    if (model == ModelKind::kXgboostSs) continue;
+    EXPECT_TRUE(BuildWhatIfReportFromPcc(pcc, model, job.default_tokens,
+                                         kMaxGridPoints)
+                    .ok());
+    EXPECT_FALSE(BuildWhatIfReportFromPcc(pcc, model, job.default_tokens,
+                                          kMaxGridPoints + 1)
+                     .ok());
   }
 }
 
